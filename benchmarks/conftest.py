@@ -56,7 +56,7 @@ def _timing_note(figure_result, store: ResultStore) -> str:
     stats = figure_result.stats
     if stats is None:
         return ""
-    timings = store.cell_timings(stats.experiment_id)
+    timings = store.figure_cell_timings(figure_result.figure_id)
     if not timings:
         return ""
     slowest = sorted(timings.items(), key=lambda kv: -kv[1])[:5]
@@ -92,7 +92,7 @@ def _timings_payload(figure_result, store: ResultStore) -> dict:
             "cached_wall_seconds": stats.cached_wall_seconds,
         }
         payload["cell_wall_seconds"] = dict(sorted(
-            store.cell_timings(stats.experiment_id).items()))
+            store.figure_cell_timings(figure_result.figure_id).items()))
     return payload
 
 

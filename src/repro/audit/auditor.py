@@ -10,8 +10,8 @@ consistent: the hypervisor calls :meth:`InvariantAuditor.on_reclaim`
 after every eviction batch and the VM driver calls
 :meth:`InvariantAuditor.on_phase` at every workload phase mark.  The
 cheap O(1) checks (pool bounds, clock monotonicity) run on every hook;
-the full structural walk over EPTs, swap slots, and mapper associations
-is O(resident + tracked) per VM, so reclaim hooks sample it on a
+the full structural walk over EPTs, swap slots, clock lists and mapper
+associations is O(resident + tracked) per VM, so reclaim hooks sample it on a
 stride while phase boundaries always get the full walk.
 
 Any breach raises :class:`~repro.errors.InvariantViolation`
@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.mapper import TrackState
 from repro.errors import InvariantViolation
+from repro.host.vm import CODE_KEY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.host.vm import Vm
@@ -133,6 +134,39 @@ class InvariantAuditor:
     def _check_vm(self, vm: "Vm", where: str) -> None:
         self._check_swap_state(vm, where)
         self._check_mapper(vm, where)
+        self._check_scanner(vm, where)
+
+    def _check_scanner(self, vm: "Vm", where: str) -> None:
+        """The clock lists hold exactly the VM's resident pages: each
+        EPT-present or swap-cache gpa and each resident QEMU code page,
+        once.  The hypervisor edits the lists inline in several places,
+        and the clock hand trusts every key it pops."""
+        named = vm.scanner.named_list
+        anon = vm.scanner.anon_list
+        for key in named:
+            if key in anon:
+                self._fail(where, f"{vm.name}: scanner key {key!r} is on "
+                                  f"both clock lists")
+        for clock in (named, anon):
+            for key in clock:
+                if type(key) is int:
+                    if not (vm.ept.is_present(key) or key in vm.swap_cache):
+                        self._fail(where, f"{vm.name}: scanner holds page "
+                                          f"{key:#x}, which is neither "
+                                          f"EPT-mapped nor swap-cached")
+                elif (type(key) is tuple and len(key) == 2
+                        and key[0] == CODE_KEY):
+                    if key[1] not in vm.qemu.resident:
+                        self._fail(where, f"{vm.name}: scanner holds code "
+                                          f"page {key[1]}, which is not "
+                                          f"resident")
+                else:
+                    self._fail(where, f"{vm.name}: unknown scanner key "
+                                      f"{key!r}")
+        total = len(named) + len(anon)
+        if total != vm.resident_pages:
+            self._fail(where, f"{vm.name}: scanner tracks {total} pages, "
+                              f"the VM holds {vm.resident_pages}")
 
     def _check_swap_state(self, vm: "Vm", where: str) -> None:
         slot_owner = self.machine.hypervisor.slot_owner

@@ -683,9 +683,13 @@ class ResultStore:
         """Recorded wall seconds per cell id for one experiment.
 
         When a cell id has both a live record and stale-hash leftovers
-        from an earlier schema, the live record's timing wins (glob
-        order never decides); stale timings fill in only for cells with
-        no live record at all.
+        from an earlier schema, the live record's timing wins; stale
+        timings fill in only for cells with no live record at all.
+        Cell ids are unique within one sweep, not within a harness:
+        sweeps that share a harness id (fig3 and fig9 both run
+        ``fig09``) can store two live records under one cell id, and
+        then the last one read wins.  :meth:`figure_cell_timings` reads
+        exactly one sweep's cells.
         """
         timings: dict[str, float] = {}
         stale: dict[str, float] = {}
@@ -701,6 +705,25 @@ class ResultStore:
                 stale.setdefault(cell_id, wall)
         for cell_id, wall in stale.items():
             timings.setdefault(cell_id, wall)
+        return timings
+
+    def figure_cell_timings(self, figure_id: str) -> dict[str, float]:
+        """Recorded wall seconds per cell id for exactly the cells that
+        figure ``figure_id`` was assembled from.
+
+        Cells are looked up by the content keys stamped on the figure
+        record, so another sweep's record under the same harness and
+        cell id is never read.  A figure stored without keys has none.
+        """
+        figure = self._read_record(self.figure_path(figure_id))
+        timings: dict[str, float] = {}
+        for key in (figure or {}).get("cell_keys") or ():
+            for path in sorted((self.root / "cells").glob(
+                    f"*/*-{key[:12]}.json")):
+                record = self._read_record(path)
+                if record is not None and record.get("key") == key:
+                    timings[record["spec"]["cell_id"]] = record.get(
+                        "wall_seconds", 0.0)
         return timings
 
     # ------------------------------------------------------------------

@@ -83,9 +83,11 @@ class GuestKernel:
         #: GPAs [0, reserve) belong to the guest kernel image itself.
         self.free_list: list[int] = list(range(reserve, config.memory_pages))
 
-        self._accessed: set[int] = set()
+        #: Guest-side accessed bits, one byte per gpa: set on every
+        #: guest access, tested and cleared by the guest's clock hand.
+        self._accessed = bytearray(config.memory_pages)
         self.scanner = ReclaimScanner(
-            self._referenced, named_fraction=config.named_fraction)
+            self._accessed, named_fraction=config.named_fraction)
 
         self.balloon_pinned: set[int] = set()
         self.balloon_target = 0
@@ -103,8 +105,7 @@ class GuestKernel:
         self._alloc_window = config.allocator_window
         self._dirty_threshold = int(
             config.dirty_threshold_fraction * config.memory_pages)
-        self._getrandbits = getattr(
-            getattr(rng, "_random", None), "getrandbits", None)
+        self._getrandbits = rng._random.getrandbits
 
     # ------------------------------------------------------------------
     # operation dispatch
@@ -160,7 +161,7 @@ class GuestKernel:
         base = fobj.start_block + offset
         lookup = self.cache._by_block.get
         touch_page = self.host.touch_page
-        note_access = self._accessed.add
+        guest_accessed = self._accessed
         vm = self.vm
         costs = vm.costs
         if op.touch_cost < 0:
@@ -186,7 +187,7 @@ class GuestKernel:
                     hw_accessed[gpa] = 1
                 else:
                     touch_page(vm, gpa)
-                note_access(gpa)
+                guest_accessed[gpa] = 1
                 if touch_cost:
                     costs.cpu_seconds = costs.cpu_seconds + touch_cost
                 i += 1
@@ -207,7 +208,7 @@ class GuestKernel:
             for t in transfers:
                 cache_insert(t.block, t.gpa, dirty=False)
                 note_resident(t.gpa, named=True)
-                note_access(t.gpa)
+                guest_accessed[t.gpa] = 1
             if touch_cost:
                 costs_cpu(touch_cost * run_len)
             i += run_len
@@ -228,7 +229,7 @@ class GuestKernel:
                     WritePattern.FULL_SEQUENTIAL)
                 self.cache.insert(block, gpa, dirty=True)
                 self.scanner.note_resident(gpa, named=True)
-            self._note_access(gpa)
+            self._accessed[gpa] = 1
             if op.touch_cost:
                 self.vm.costs.cpu(op.touch_cost)
         self._writeback_if_needed()
@@ -274,7 +275,7 @@ class GuestKernel:
         touch_cost = op.touch_cost
         write = op.write
         touch_page = self.host.touch_page
-        note_access = self._accessed.add
+        guest_accessed = self._accessed
         unmaterialized = PageLocation.UNMATERIALIZED
         guest_swap = PageLocation.GUEST_SWAP
         # Read hits on EPT-present pages stay in "hardware" (no host
@@ -308,7 +309,7 @@ class GuestKernel:
                     hw_accessed[gpa] = 1
                 else:
                     touch_page(vm, gpa)
-            note_access(gpa)
+            guest_accessed[gpa] = 1
             if touch_cost:
                 costs.cpu_seconds = costs.cpu_seconds + touch_cost
 
@@ -334,7 +335,7 @@ class GuestKernel:
             else:
                 gpa = state.where
                 self.host.overwrite_page(self.vm, gpa, content, op.pattern)
-            self._note_access(gpa)
+            self._accessed[gpa] = 1
             self.vm.costs.cpu(self.cfg.zero_page_cost)
             if op.touch_cost:
                 self.vm.costs.cpu(op.touch_cost)
@@ -357,7 +358,7 @@ class GuestKernel:
         gpas, slots = self.anon.release_region(name)
         for gpa in gpas:
             self.scanner.note_evicted(gpa)
-            self._accessed.discard(gpa)
+            self._accessed[gpa] = 0
             self.free_list.append(gpa)
         for slot in slots:
             self.gswap.free(slot)
@@ -392,18 +393,15 @@ class GuestKernel:
         if window > n:
             window = n
         if window > 1:
-            if self._getrandbits is not None:
-                # randint(1, w) == 1 + _randbelow(w), and _randbelow is
-                # rejection sampling over getrandbits -- replicated
-                # inline so the draw sequence is identical.
-                k = window.bit_length()
-                getrandbits = self._getrandbits
+            # randint(1, w) == 1 + _randbelow(w), and _randbelow is
+            # rejection sampling over getrandbits -- replicated inline
+            # so the draw sequence is identical.
+            k = window.bit_length()
+            getrandbits = self._getrandbits
+            r = getrandbits(k)
+            while r >= window:
                 r = getrandbits(k)
-                while r >= window:
-                    r = getrandbits(k)
-                index = n - 1 - r
-            else:
-                index = n - self.rng.randint(1, window)
+            index = n - 1 - r
             free_list[index], free_list[-1] = (
                 free_list[-1], free_list[index])
         return free_list.pop()
@@ -419,7 +417,7 @@ class GuestKernel:
                 self.cache.remove(gpa)
                 # No note_evicted: pick_victims already popped the
                 # victim off its clock list.
-                self._accessed.discard(gpa)
+                self._accessed[gpa] = 0
                 self.free_list.append(gpa)
             elif self.anon.is_anon_gpa(gpa):
                 swap_victims.append(gpa)
@@ -441,7 +439,7 @@ class GuestKernel:
         for gpa, slot in slots:
             self.anon.move_to_swap(gpa, slot)
             self.scanner.note_evicted(gpa)
-            self._accessed.discard(gpa)
+            self._accessed[gpa] = 0
             self.free_list.append(gpa)
             self.vm.counters.guest_swap_sectors_written += 8
 
@@ -450,7 +448,7 @@ class GuestKernel:
         for gpa in self.cache.clean_gpas_snapshot():
             self.cache.remove(gpa)
             self.scanner.note_evicted(gpa)
-            self._accessed.discard(gpa)
+            self._accessed[gpa] = 0
             self.free_list.append(gpa)
 
     # ------------------------------------------------------------------
@@ -533,15 +531,6 @@ class GuestKernel:
         """Pages the guest is actively using (demand estimate)."""
         return (self.cfg.kernel_reserve_pages + self.cache.cached_pages
                 + self.anon.resident_pages())
-
-    def _note_access(self, gpa: int) -> None:
-        self._accessed.add(gpa)
-
-    def _referenced(self, gpa: int) -> bool:
-        if gpa in self._accessed:
-            self._accessed.discard(gpa)
-            return True
-        return False
 
     def _aligned(self) -> bool:
         fraction = self.cfg.unaligned_io_fraction

@@ -59,13 +59,6 @@ class QemuProcess:
         self.resident.discard(index)
         self.accessed.discard(index)
 
-    def referenced(self, index: int) -> bool:
-        """Test-and-clear the accessed bit of a code page."""
-        if index in self.accessed:
-            self.accessed.discard(index)
-            return True
-        return False
-
     def sector_of(self, index: int) -> int:
         """Physical sector backing code page ``index``."""
         if not 0 <= index < self.code_pages:

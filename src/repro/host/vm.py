@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 from repro.config import VmConfig
 from repro.core.vswapper import VSwapper
 from repro.disk.image import VirtualDiskImage
-from repro.errors import HostError
 from repro.mem.ept import Ept
 from repro.mem.page import ZERO, PageContent
 from repro.mem.reclaim import ReclaimScanner
@@ -73,18 +72,15 @@ class Vm:
         #: reclaim must not evict them mid-transfer.
         self.io_pinned: set[int] = set()
 
-        # The DMA-pin probe runs once per clock-hand examination.  Only
-        # guest GPAs (ints) are ever pinned and ``io_pinned``'s identity
-        # is stable (mutated in place, never reassigned), so the set's
-        # own C-level membership test IS the predicate -- code-page
-        # tuple keys simply miss.  ``_dma_pinned`` keeps the readable
-        # equivalent for tests and documentation.
+        # ``rebuild_vm_on_host`` replaces ``self.qemu`` on migration but
+        # not this binding: the hand then tests a migrated VM's code
+        # pages against the source process's accessed set, which
+        # nothing sets any more.
         self.scanner = ReclaimScanner(
-            self._referenced, named_fraction=named_fraction,
-            unevictable=self.io_pinned.__contains__,
-            noise=reclaim_noise, noise_rng=rng,
-            probe=self._build_scan_probe(reclaim_noise, rng),
-            scan=self._build_scan_fused(reclaim_noise, rng))
+            self.ept._accessed, present=self.ept._present,
+            code_accessed=qemu.accessed, pinned=self.io_pinned,
+            named_fraction=named_fraction,
+            noise=reclaim_noise, noise_rng=rng)
         self.vswapper = VSwapper(config.vswapper)
         #: Swap Mapper / False Reads Preventer shortcuts (None when
         #: disabled).  VSwapper builds both exactly once at init and a
@@ -141,181 +137,6 @@ class Vm:
             self.content.pop(gpa, None)
         else:
             self.content[gpa] = content
-
-    def _build_scan_probe(self, noise: float, rng):
-        """Fuse the reclaim referenced probe into one closure.
-
-        The clock hand calls its probe a quarter-million times per run,
-        so the pin check, the noise draw, and the referenced-bit
-        test-and-clear are flattened into a single function instead of
-        the scanner's layered composition (three Python frames per
-        examination become one).  Behaviour -- including the exact RNG
-        draw sequence -- must match ``ReclaimScanner._compose_probe``
-        with ``unevictable=io_pinned.__contains__`` and raw
-        ``Vm._referenced``: pinned keys return before the noise draw,
-        everything else draws exactly once.
-
-        Every container bound here is mutated in place and never
-        reassigned, so binding once at VM construction is safe.
-        Returns None (scanner composes the layers itself) when the RNG
-        double has no inner ``random.Random`` to draw from.
-        """
-        io_pinned = self.io_pinned
-        ept = self.ept
-        present = ept._present
-        accessed = ept._accessed
-        qemu_accessed = self.qemu.accessed
-
-        if noise > 0.0:
-            inner = getattr(rng, "_random", None)
-            if inner is None:
-                return None  # non-standard rng double: composed path
-            rand = inner.random
-
-            def probe(key) -> bool:
-                if key in io_pinned:
-                    return True
-                if rand() < noise:
-                    return True
-                if type(key) is tuple:
-                    index = key[1]
-                    if index in qemu_accessed:
-                        qemu_accessed.discard(index)
-                        return True
-                    return False
-                if key < ept._size and present[key]:
-                    was = accessed[key]
-                    accessed[key] = 0
-                    return was != 0
-                return False
-        else:
-            def probe(key) -> bool:
-                if key in io_pinned:
-                    return True
-                if type(key) is tuple:
-                    index = key[1]
-                    if index in qemu_accessed:
-                        qemu_accessed.discard(index)
-                        return True
-                    return False
-                if key < ept._size and present[key]:
-                    was = accessed[key]
-                    accessed[key] = 0
-                    return was != 0
-                return False
-        return probe
-
-    def _build_scan_fused(self, noise: float, rng):
-        """Fuse the whole clock-hand scan loop into one closure.
-
-        One level beyond :meth:`_build_scan_probe`: the loop body of
-        ``ClockList.scan`` and the referenced probe are flattened
-        together, so an examination is pure C operations (OrderedDict
-        pop, set membership, one RNG draw, bitmap poke) with no Python
-        call at all.  Semantics -- victim order, examined counts, the
-        two-passes give-up bound, and the RNG draw sequence -- must
-        match ``ClockList.scan(want, probe)`` exactly; the golden
-        fixture pins this.
-
-        Returns None (scanner falls back to the layered path) when the
-        RNG double has no inner ``random.Random``.
-        """
-        io_pinned = self.io_pinned
-        ept = self.ept
-        present = ept._present
-        accessed = ept._accessed
-        qemu_accessed = self.qemu.accessed
-
-        if noise > 0.0:
-            inner = getattr(rng, "_random", None)
-            if inner is None:
-                return None  # non-standard rng double: composed path
-            rand = inner.random
-
-            def scan(clock_list, want: int):
-                entries = clock_list._entries
-                victims: list = []
-                take = victims.append
-                pop_head = entries.popitem
-                set_tail = entries.__setitem__
-                examined = 0
-                taken = 0
-                max_examined = 2 * len(entries)
-                while taken < want and entries and examined < max_examined:
-                    key, _ = pop_head(last=False)
-                    examined += 1
-                    if key in io_pinned or rand() < noise:
-                        set_tail(key, None)  # second chance
-                        continue
-                    if type(key) is tuple:
-                        index = key[1]
-                        if index in qemu_accessed:
-                            qemu_accessed.discard(index)
-                            set_tail(key, None)
-                            continue
-                    elif key < ept._size and present[key]:
-                        was = accessed[key]
-                        accessed[key] = 0
-                        if was:
-                            set_tail(key, None)
-                            continue
-                    take(key)
-                    taken += 1
-                return victims, examined
-        else:
-            def scan(clock_list, want: int):
-                entries = clock_list._entries
-                victims: list = []
-                take = victims.append
-                pop_head = entries.popitem
-                set_tail = entries.__setitem__
-                examined = 0
-                taken = 0
-                max_examined = 2 * len(entries)
-                while taken < want and entries and examined < max_examined:
-                    key, _ = pop_head(last=False)
-                    examined += 1
-                    if key in io_pinned:
-                        set_tail(key, None)
-                        continue
-                    if type(key) is tuple:
-                        index = key[1]
-                        if index in qemu_accessed:
-                            qemu_accessed.discard(index)
-                            set_tail(key, None)
-                            continue
-                    elif key < ept._size and present[key]:
-                        was = accessed[key]
-                        accessed[key] = 0
-                        if was:
-                            set_tail(key, None)
-                            continue
-                    take(key)
-                    taken += 1
-                return victims, examined
-        return scan
-
-    def _dma_pinned(self, key) -> bool:
-        """Whether a scanner key is pinned for in-flight DMA."""
-        return type(key) is not tuple and key in self.io_pinned
-
-    def _referenced(self, key) -> bool:
-        """Reclaim clock probe: test-and-clear the accessed bit.
-
-        Runs once per clock-hand examination, so the EPT bitmaps are
-        poked directly rather than through the presence-checked API.
-        """
-        if type(key) is tuple:
-            if key[0] != CODE_KEY:
-                raise HostError(f"unknown scanner key: {key!r}")
-            return self.qemu.referenced(key[1])
-        ept = self.ept
-        if key < ept._size and ept._present[key]:
-            accessed = ept._accessed
-            was = accessed[key]
-            accessed[key] = 0
-            return was != 0
-        return False
 
     def refresh_gauges(self) -> None:
         """Update gauge-style counters from live state."""

@@ -17,9 +17,7 @@ the engine, exactly as before.
 from __future__ import annotations
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.host import Host, build_latency_model  # noqa: F401
-# build_latency_model is re-exported: it predates the cluster package
-# and callers import it from here.
+from repro.cluster.host import Host
 from repro.config import MachineConfig, VmConfig
 from repro.host.vm import Vm
 

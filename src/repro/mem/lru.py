@@ -10,17 +10,16 @@ metric (Figure 11c).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Hashable, Iterator, Optional, TypeVar
-
-K = TypeVar("K", bound=Hashable)
+from typing import Hashable, Iterator
 
 
 class ClockList:
-    """Ordered set of keys with clock-hand scanning.
+    """Ordered set of keys for a clock hand to sweep.
 
-    Keys enter at the tail (most recently added).  The scan examines
-    keys from the head; a key whose ``referenced`` callback returns True
-    is rotated to the tail (second chance), otherwise it is evicted.
+    Keys enter at the tail (most recently added).  The hand
+    (:meth:`repro.mem.reclaim.ReclaimScanner.scan`) examines keys from
+    the head, rotating a referenced key to the tail (second chance) and
+    evicting the rest.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -55,45 +54,6 @@ class ClockList:
     def remove(self, key: Hashable) -> None:
         """Remove ``key``; missing keys are ignored (already evicted)."""
         self._entries.pop(key, None)
-
-    def peek_head(self) -> Optional[Hashable]:
-        """Key the clock hand would examine next, or None when empty."""
-        for key in self._entries:
-            return key
-        return None
-
-    def scan(
-        self,
-        want: int,
-        referenced: Callable[[Hashable], bool],
-        *,
-        max_examined: Optional[int] = None,
-    ) -> tuple[list[Hashable], int]:
-        """Find up to ``want`` eviction victims.
-
-        Returns ``(victims, examined)`` where ``examined`` counts every
-        key the hand looked at (the pages-scanned metric).  Referenced
-        keys get their bit cleared (the callback is expected to clear
-        it) and rotate to the tail.  The scan gives up after
-        ``max_examined`` examinations (default: twice the list length,
-        mirroring reclaim priority escalation) and returns what it has.
-        """
-        victims: list[Hashable] = []
-        entries = self._entries
-        take = victims.append
-        pop_head = entries.popitem
-        set_tail = entries.__setitem__
-        examined = 0
-        if max_examined is None:
-            max_examined = 2 * len(entries)
-        while len(victims) < want and entries and examined < max_examined:
-            key, _ = pop_head(last=False)
-            examined += 1
-            if referenced(key):
-                set_tail(key, None)  # second chance: rotate to tail
-            else:
-                take(key)
-        return victims, examined
 
     def keys_in_order(self) -> list[Hashable]:
         """Snapshot of keys from head (coldest) to tail (hottest)."""

@@ -11,7 +11,7 @@ preference repeatedly victimizes QEMU's own code (Section 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import Hashable
 
 from repro.errors import MemoryError_
 from repro.mem.lru import ClockList
@@ -31,22 +31,33 @@ class ScanResult:
 class ReclaimScanner:
     """Two-list clock reclaim with a tunable named-page preference.
 
-    ``referenced`` is probed (and cleared) per examined key -- wire it
-    to :meth:`repro.mem.ept.Ept.test_and_clear_accessed` on the host or
-    the guest's own accessed bookkeeping.
+    Keys are guest page numbers (ints) or QEMU code pages
+    (``("code", index)`` tuples).  The clock hand is configured with
+    data, not callbacks:
+
+    * ``accessed`` -- per-gpa accessed bytes, tested and cleared when
+      the hand passes an int key.  Only keys set in ``present`` count
+      (a host key whose page sits in the swap cache is not EPT-mapped);
+      ``present=None`` means every int key on the lists is present, as
+      in a guest, whose pages are always in its own RAM.
+    * ``code_accessed`` -- indices of accessed QEMU code pages, tested
+      and cleared for tuple keys.
+    * ``pinned`` -- keys pinned for in-flight DMA: always rotated, even
+      by the escalation pass.
+    * ``noise`` -- probability that the hand grants a non-pinned key an
+      extra rotation regardless of its bit, modelling the disorder of
+      real referenced-bit sampling (the seed of decayed swap
+      sequentiality, see ``HostConfig.reclaim_noise``).  Each draw is
+      one ``noise_rng.chance(noise)``.
+
+    The scanner keeps references to these containers, so their owners
+    must mutate them in place (the EPT bitmaps grow with ``extend``).
     """
 
-    def __init__(
-        self,
-        referenced: Callable[[Hashable], bool],
-        *,
-        named_fraction: float = 0.75,
-        unevictable: Callable[[Hashable], bool] | None = None,
-        noise: float = 0.0,
-        noise_rng=None,
-        probe: Callable[[Hashable], bool] | None = None,
-        scan: Callable[[ClockList, int], tuple[list, int]] | None = None,
-    ) -> None:
+    def __init__(self, accessed: bytearray, *, present=None,
+                 code_accessed=frozenset(), pinned=frozenset(),
+                 named_fraction: float = 0.75, noise: float = 0.0,
+                 noise_rng=None) -> None:
         if not 0.0 <= named_fraction <= 1.0:
             raise MemoryError_(
                 f"named_fraction must be in [0, 1]: {named_fraction}")
@@ -57,71 +68,18 @@ class ReclaimScanner:
         self.named_list = ClockList("named")
         self.anon_list = ClockList("anon")
         self.named_fraction = named_fraction
-        self._unevictable = unevictable or (lambda key: False)
-        self._referenced_raw = referenced
+        self._accessed = accessed
+        self._present = (present if present is not None
+                         else b"\x01" * len(accessed))
+        self._code_accessed = code_accessed
+        self._pinned = pinned
         self._noise = noise
-        self._noise_rng = noise_rng
-        #: ``probe`` is an optional caller-fused referenced predicate
-        #: that already implements the unevictable -> noise -> raw layer
-        #: order (one closure, no chained calls).  It runs once per
-        #: clock-hand examination, so hosts that can flatten the layers
-        #: into a single function (see ``Vm._build_scan_probe``) shave
-        #: two Python frames off every examination.  It must consume
-        #: exactly the same RNG draws as the composed equivalent.
-        self._referenced = probe if probe is not None \
-            else self._compose_probe(unevictable)
-        #: Optional caller-fused scan loop: ``scan(clock_list, want)``
-        #: must behave exactly like ``clock_list.scan(want, probe)``
-        #: but with the probe body inlined into the loop, so an
-        #: examination costs no Python frame at all (see
-        #: ``Vm._build_scan_fused``).  The escalation pass still goes
-        #: through ``ClockList.scan`` with the unevictable predicate.
-        self._scan = scan
+        # Same draw as ``noise_rng.chance(noise)``, minus two frames.
+        self._rand = noise_rng._random.random if noise > 0.0 else None
         #: Trace collector plus the VM name scans are attributed to;
         #: wired by the machine for host-side scanners under ``--trace``.
         self.trace = NULL_TRACE
         self.trace_vm: str | None = None
-
-    def _compose_probe(self, unevictable) -> Callable[[Hashable], bool]:
-        """Build the referenced probe with DMA protection and noise.
-
-        Pages pinned for in-flight DMA are treated as permanently
-        referenced.  The noise term randomly grants extra rotations,
-        modelling the disorder of real referenced-bit sampling -- the
-        seed of decayed swap sequentiality (see HostConfig.reclaim_noise).
-
-        The probe runs once per examined key, so the layers the caller
-        did not ask for (no pin predicate, zero noise) are compiled out
-        here instead of branched over per call.  Layer order is fixed:
-        unevictable, then noise (one RNG draw, same sequence as
-        ``noise_rng.chance``), then the real referenced bit.
-        """
-        raw = self._referenced_raw
-        noise = self._noise
-        if noise > 0.0:
-            inner = getattr(self._noise_rng, "_random", None)
-            if inner is not None:
-                rand = inner.random
-            else:  # non-standard rng double: fall back to its public API
-                chance = self._noise_rng.chance
-
-                def rand() -> float:
-                    return 0.0 if chance(noise) else 1.0
-
-            if unevictable is None:
-                def probe(key: Hashable) -> bool:
-                    return True if rand() < noise else raw(key)
-            else:
-                def probe(key: Hashable) -> bool:
-                    if unevictable(key):
-                        return True
-                    return True if rand() < noise else raw(key)
-        elif unevictable is None:
-            probe = raw
-        else:
-            def probe(key: Hashable) -> bool:
-                return True if unevictable(key) else raw(key)
-        return probe
 
     # -- membership maintenance --------------------------------------------
 
@@ -160,6 +118,68 @@ class ReclaimScanner:
 
     # -- victim selection ----------------------------------------------------
 
+    def scan(self, clock: ClockList, want: int,
+             second_chance: bool = True) -> tuple[list[Hashable], int]:
+        """Run the clock hand over ``clock`` for up to ``want`` victims.
+
+        Returns ``(victims, examined)``; ``examined`` counts every key
+        the hand looked at (the pages-scanned metric).  The hand pops
+        keys from the head.  A pinned key rotates to the tail before
+        any noise draw; with noise on, every other key draws exactly
+        once, rotating on a hit; a key that survives the draw rotates
+        if its accessed bit was set, clearing it.  Anything else is a
+        victim.  The scan gives
+        up after twice the list's length, returning what it has
+        (reclaim priority escalation takes over from there).
+
+        ``second_chance=False`` is that escalation pass: only the pin
+        protects a key -- no noise draw, no accessed bit read or
+        cleared.
+
+        This loop runs once per examined page, hundreds of thousands of
+        times per cell, so the probe is inlined and every container is
+        bound to a local: an examination makes no Python call.
+        """
+        if second_chance:
+            noise = self._noise
+            code_accessed = self._code_accessed
+            size = len(self._present)
+        else:  # nothing counts as accessed: every int key fails size
+            noise = 0.0
+            code_accessed = frozenset()
+            size = 0
+        pinned = self._pinned
+        rand = self._rand
+        present = self._present
+        accessed = self._accessed
+        entries = clock._entries
+        pop_head = entries.popitem
+        set_tail = entries.__setitem__
+        victims: list[Hashable] = []
+        take = victims.append
+        examined = 0
+        taken = 0
+        limit = 2 * len(entries)
+        while taken < want and entries and examined < limit:
+            key, _ = pop_head(last=False)
+            examined += 1
+            if key in pinned or (noise and rand() < noise):
+                set_tail(key, None)  # second chance
+                continue
+            if type(key) is tuple:
+                index = key[1]
+                if index in code_accessed:
+                    code_accessed.discard(index)
+                    set_tail(key, None)
+                    continue
+            elif key < size and present[key] and accessed[key]:
+                accessed[key] = 0
+                set_tail(key, None)
+                continue
+            take(key)
+            taken += 1
+        return victims, examined
+
     def pick_victims(self, want: int) -> ScanResult:
         """Select up to ``want`` victims, preferring named pages.
 
@@ -176,33 +196,23 @@ class ReclaimScanner:
         from_named = min(from_named, want)
 
         victims = result.victims
-        scan = self._scan
-        if scan is not None:
-            named_victims, examined = scan(
-                self.named_list, min(from_named, len(self.named_list)))
-        else:
-            named_victims, examined = self.named_list.scan(
-                min(from_named, len(self.named_list)), self._referenced)
+        named_victims, examined = self.scan(
+            self.named_list, min(from_named, len(self.named_list)))
         result.examined += examined
         victims += [(key, True) for key in named_victims]
 
         remaining = want - len(victims)
         if remaining > 0 and len(self.anon_list):
-            if scan is not None:
-                anon_victims, examined = scan(self.anon_list, remaining)
-            else:
-                anon_victims, examined = self.anon_list.scan(
-                    remaining, self._referenced)
+            anon_victims, examined = self.scan(self.anon_list, remaining)
             result.examined += examined
             victims += [(key, False) for key in anon_victims]
 
         # Shortfall: escalate back to the named list without the
         # second-chance courtesy (reclaim priority escalation).  Only
-        # unevictable (DMA-pinned) pages keep their protection.
+        # DMA-pinned pages keep their protection.
         remaining = want - len(victims)
         if remaining > 0 and len(self.named_list):
-            forced, examined = self.named_list.scan(
-                remaining, self._unevictable)
+            forced, examined = self.scan(self.named_list, remaining, False)
             result.examined += examined
             victims += [(key, True) for key in forced]
         if self.trace.enabled:

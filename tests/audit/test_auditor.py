@@ -120,6 +120,35 @@ def test_mapper_geometry_violation_is_caught():
         machine.auditor.check("tampered")
 
 
+def test_stray_scanner_key_is_caught():
+    machine = _paranoid_machine()
+    vm = _pressure_run(machine)
+    stray = next(gpa for gpa in range(vm.cfg.guest.memory_pages)
+                 if not vm.ept.is_present(gpa) and gpa not in vm.swap_cache)
+    vm.scanner.anon_list.add(stray)
+    with pytest.raises(InvariantViolation, match="neither EPT-mapped"):
+        machine.auditor.check("tampered")
+
+
+def test_scanner_key_on_both_lists_is_caught():
+    machine = _paranoid_machine()
+    vm = _pressure_run(machine)
+    key = next(iter(vm.scanner.anon_list))
+    vm.scanner.named_list.add(key)
+    with pytest.raises(InvariantViolation, match="both clock lists"):
+        machine.auditor.check("tampered")
+
+
+def test_non_resident_code_key_is_caught():
+    machine = _paranoid_machine()
+    vm = _pressure_run(machine)
+    index = next(i for i in range(vm.qemu.code_pages)
+                 if i not in vm.qemu.resident)
+    vm.scanner.named_list.add(("code", index))
+    with pytest.raises(InvariantViolation, match="not resident"):
+        machine.auditor.check("tampered")
+
+
 def test_violation_message_names_site_and_time():
     machine = _paranoid_machine()
     machine.frames._used = -1

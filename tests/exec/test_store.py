@@ -304,6 +304,31 @@ def test_cell_timings_fall_back_to_stale_when_no_live_record(tmp_path):
     assert store.cell_timings("exp") == {"a": 77.0}
 
 
+def test_figure_cell_timings_read_only_the_sweeps_own_cells(tmp_path):
+    # fig3 and fig9 both run harness "fig09" and both have a "baseline"
+    # cell, with different params: each figure must see its own record.
+    store = ResultStore(tmp_path)
+    fig3 = _spec(experiment_id="fig09", cell_id="baseline",
+                 params={"iterations": 1})
+    fig9 = _spec(experiment_id="fig09", cell_id="baseline",
+                 params={"iterations": 8})
+    only9 = _spec(experiment_id="fig09", cell_id="vswapper",
+                  params={"iterations": 8})
+    store.store_cell(fig3, _result(), wall_seconds=0.5)
+    store.store_cell(fig9, _result(), wall_seconds=2.0)
+    store.store_cell(only9, _result(), wall_seconds=3.0)
+    store.store_figure(FigureResult("fig03", {}, "r"),
+                       cell_keys=[cell_key(fig3)])
+    store.store_figure(FigureResult("fig09", {}, "r"),
+                       cell_keys=[cell_key(fig9), cell_key(only9)])
+    assert store.figure_cell_timings("fig03") == {"baseline": 0.5}
+    assert store.figure_cell_timings("fig09") == {
+        "baseline": 2.0, "vswapper": 3.0}
+    store.store_figure(FigureResult("keyless", {}, "r"))
+    assert store.figure_cell_timings("keyless") == {}
+    assert store.figure_cell_timings("never-stored") == {}
+
+
 def test_gc_removes_shadowed_stale_duplicates_only(tmp_path):
     store = ResultStore(tmp_path)
     shadowed = _spec(cell_id="a")

@@ -38,19 +38,12 @@ def test_residency_tracking():
     assert not qemu.is_resident(3)
 
 
-def test_referenced_test_and_clear():
-    qemu = make_qemu()
-    qemu.accessed.add(5)
-    assert qemu.referenced(5)
-    assert not qemu.referenced(5)
-
-
 def test_evict_clears_accessed():
     qemu = make_qemu()
     qemu.mark_resident(2)
     qemu.accessed.add(2)
     qemu.evict(2)
-    assert not qemu.referenced(2)
+    assert 2 not in qemu.accessed
 
 
 def test_sector_of_uses_base_offset():

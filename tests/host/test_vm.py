@@ -1,5 +1,6 @@
 """Per-VM host state."""
 
+from repro.mem.lru import ClockList
 from repro.mem.page import ZERO, AnonContent
 from tests.conftest import small_vm_config
 from repro.config import VSwapperConfig
@@ -43,20 +44,32 @@ def test_mapper_preventer_shortcuts(machine):
 
 
 def test_referenced_dispatches_to_code_pages(vm):
+    # A code key is tested (and cleared) against QEMU's accessed set.
     vm.qemu.accessed.add(3)
-    key = ("code", 3)
-    assert vm._referenced(key)
-    assert not vm._referenced(key)
+    clock = ClockList()
+    clock.add(("code", 3))
+    assert vm.scanner.scan(clock, 1) == ([("code", 3)], 2)
+    assert 3 not in vm.qemu.accessed
 
 
 def test_referenced_for_absent_gpa_is_false(vm):
-    assert not vm._referenced(0x777)
+    # A stale accessed bit on a non-present gpa earns no second chance.
+    vm.ept._accessed[0x777] = 1
+    clock = ClockList()
+    clock.add(0x777)
+    assert vm.scanner.scan(clock, 1) == ([0x777], 1)
+    assert vm.ept._accessed[0x777] == 1
 
 
 def test_dma_pin_blocks_eviction(vm):
     vm.io_pinned.add(0x10)
-    assert vm._dma_pinned(0x10)
-    assert not vm._dma_pinned(("code", 1))
+    clock = ClockList()
+    clock.add(0x10)
+    clock.add(("code", 1))
+    victims, _ = vm.scanner.scan(clock, 2)
+    assert victims == [("code", 1)]  # the pin covers gpas only
+    # Even the escalation pass leaves a pinned page alone.
+    assert vm.scanner.scan(clock, 1, False) == ([], 2)
 
 
 def test_refresh_gauges_tracks_mapper(machine):

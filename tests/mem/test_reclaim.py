@@ -7,9 +7,8 @@ from repro.mem.reclaim import ReclaimScanner
 from repro.sim.rng import DeterministicRng
 
 
-def make_scanner(referenced=None, **kwargs):
-    referenced = referenced or (lambda key: False)
-    return ReclaimScanner(referenced, **kwargs)
+def make_scanner(accessed=None, **kwargs):
+    return ReclaimScanner(accessed or bytearray(64), **kwargs)
 
 
 def test_resident_counting():
@@ -68,26 +67,19 @@ def test_shortfall_escalates_to_named():
 
 
 def test_examined_counts_rotations():
-    referenced = {1, 2}
-
-    def probe(key):
-        if key in referenced:
-            referenced.discard(key)
-            return True
-        return False
-
-    scanner = make_scanner(probe)
+    accessed = bytearray(8)
+    accessed[1] = accessed[2] = 1
+    scanner = make_scanner(accessed)
     for key in (1, 2, 3, 4):
         scanner.note_resident(key, named=False)
     result = scanner.pick_victims(1)
     assert result.victims == [(3, False)]
     assert result.examined == 3
+    assert not any(accessed)  # the rotations cleared both bits
 
 
 def test_unevictable_pages_survive_even_escalation():
-    pinned = {("named", 0)}
-    scanner = ReclaimScanner(
-        lambda key: False, unevictable=lambda key: key in pinned)
+    scanner = make_scanner(pinned={("named", 0)})
     for key in range(3):
         scanner.note_resident(("named", key), named=True)
     result = scanner.pick_victims(3)
@@ -104,11 +96,9 @@ def test_noise_requires_rng():
 def test_noise_perturbs_eviction_order():
     def build(noise):
         rng = DeterministicRng(3)
-        scanner = ReclaimScanner(
-            lambda key: False, noise=noise, noise_rng=rng)
+        scanner = make_scanner(noise=noise, noise_rng=rng)
         for key in range(64):
             scanner.note_resident(key, named=False)
-        victims, _ = [], None
         result = scanner.pick_victims(32)
         return [k for k, _ in result.victims]
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.config import MachineConfig, VSwapperConfig
 from repro.errors import ConfigError
-from repro.machine import Machine, build_latency_model
+from repro.cluster.host import build_latency_model
+from repro.machine import Machine
 from repro.disk.latency import HddLatencyModel, SsdLatencyModel
 from repro.config import DiskConfig
 from tests.conftest import small_machine_config, small_vm_config
